@@ -15,8 +15,10 @@ package engine
 import (
 	"testing"
 
+	"stoneage/internal/channel"
 	"stoneage/internal/graph"
 	"stoneage/internal/nfsm"
+	"stoneage/internal/scenario"
 	"stoneage/internal/synchro"
 	"stoneage/internal/xrand"
 )
@@ -119,6 +121,71 @@ func TestAllocsAsyncVoted(t *testing.T) {
 	const maxAllocs = 80
 	if allocs > maxAllocs {
 		t.Fatalf("async voted run allocates %.1f objects/op, want ≤ %d", allocs, maxAllocs)
+	}
+}
+
+// TestAllocsAsyncScenario pins the scenario hooks of the async
+// executor: a scenario run takes its per-slot and per-node arrays
+// (write times, FIFO horizons, step bookkeeping, crash epochs, settling
+// counters) from the scratch arena like a static run, so what remains
+// per run is fixed setup — the cloned graph the run mutates (one slice
+// per node), the liveness table, the Byzantine index, the perturbation
+// log — never a cost that grows with the events processed. One case
+// crashes and restarts a node (liveness only, α synchronizer); the
+// other runs a silent Byzantine node against the voted tier, the pair
+// the hostile benchmark cells route through this path.
+func TestAllocsAsyncScenario(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	g := graph.GnpConnected(24, 0.2, xrand.New(18))
+	alpha, err := synchro.CompileRound(allocProtocol())
+	if err != nil {
+		t.Fatal(err)
+	}
+	voted, err := synchro.CompileRoundVoted(allocProtocol())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name  string
+		m     nfsm.Machine
+		sc    *scenario.Scenario
+		voted *VotedConfig
+	}{
+		{"crash-restart", alpha, &scenario.Scenario{
+			Reset: scenario.ResetAll,
+			Batches: []scenario.Batch{
+				{At: 3, Muts: []graph.Mutation{{Kind: graph.MutCrashNode, U: 5}}},
+				{At: 8, Muts: []graph.Mutation{{Kind: graph.MutRestartNode, U: 5}}},
+			},
+		}, nil},
+		{"byz-silent", voted, &scenario.Scenario{
+			Reset:     scenario.ResetNone,
+			Byzantine: []channel.ByzNode{channel.Silent(0)},
+		}, &VotedConfig{RePulseSource: voted.RePulseSource}},
+	}
+	for _, c := range cases {
+		prog := Compile(c.m, g)
+		scr := NewScratch()
+		seed := uint64(0)
+		run := func() {
+			seed++
+			cfg := AsyncConfig{Seed: seed, Adversary: UniformRandom{Seed: seed}, Scenario: c.sc, Voted: c.voted}
+			if _, err := prog.RunAsyncReusing(cfg, scr); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+		}
+		for i := 0; i < 8; i++ {
+			run()
+		}
+		allocs := testing.AllocsPerRun(20, run)
+		// The ladder bound plus the graph clone (24 adjacency slices and
+		// its header), the liveness table and the perturbation log.
+		const maxAllocs = 96
+		if allocs > maxAllocs {
+			t.Fatalf("%s: async scenario run allocates %.1f objects/op, want ≤ %d", c.name, allocs, maxAllocs)
+		}
 	}
 }
 

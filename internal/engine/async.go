@@ -66,8 +66,9 @@ type AsyncConfig struct {
 	// topology re-binds; deliveries in flight on a removed edge are
 	// dropped; crashed nodes stop stepping and restarted ones resume
 	// from a reboot. The reset policy must be concrete (the protocol
-	// layer resolves ResetAuto). Nil or empty scenarios take the
-	// unchanged static path.
+	// layer resolves ResetAuto). Nil or empty scenarios run exactly as
+	// static runs; non-empty ones disable the parking and pooled-FIFO
+	// fast paths.
 	Scenario *scenario.Scenario
 	// Channel, when non-nil, subjects every transmission to an
 	// unreliable-link model: each per-neighbor copy is expanded through
@@ -182,12 +183,14 @@ func (p *Program) RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 	return p.RunAsyncReusing(cfg, nil)
 }
 
-// RunAsyncReusing executes the compiled program asynchronously. The
-// event loop is sequential (the adversary's timing makes steps causally
-// dependent), but it shares the synchronous executor's representation:
-// flat δ lookups, the CSR edge order for ports and the flattened
-// reverse-port table for deliveries, and incremental count maintenance
-// in place of per-step port rescans.
+// RunAsyncReusing executes the compiled program asynchronously. It is
+// the only production asynchronous executor: static runs and scenario
+// runs share this one event loop. The loop is sequential (the
+// adversary's timing makes steps causally dependent), but it shares
+// the synchronous executor's representation: flat δ lookups, the CSR
+// edge order for ports and the flattened reverse-port table for
+// deliveries, and incremental count maintenance in place of per-step
+// port rescans.
 //
 // Events are ordered by the (time, seq) total order in a two-tier
 // ladder queue; in-flight deliveries beyond each directed edge's
@@ -198,13 +201,35 @@ func (p *Program) RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 // the node (or when the run ends), consuming exactly the adversary
 // parameters and step counts the materialized steps would have — the
 // differential and fuzz walls check the executor is bit-identical to
-// the reference engine either way.
+// the reference engines either way.
+//
+// A non-empty cfg.Scenario adds its hooks to the same loop: each
+// mutation batch applies before the first event at or after Batch.At;
+// crashed nodes stop stepping (a per-node epoch invalidates their
+// pending step event); restarted and woken nodes resume from a reboot
+// on a fresh step schedule; Byzantine nodes emit their behavior in
+// place of δ; and per-edge state — port letters, last-write times, FIFO
+// horizons — is carried across topology re-binds by directed-edge
+// identity. Slots renumber at every re-bind, so a scenario with a
+// topological mutation addresses its deliveries by sender rather than
+// by slot, and a delivery whose edge was removed mid-flight is dropped.
+// After a batch, termination also waits until every awake node has
+// stepped twice (see settle below).
 //
 // scr may be nil (a private arena is allocated); reusing one across
 // runs makes steady-state execution allocation-free.
 func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, error) {
-	if !cfg.Scenario.Empty() {
-		return p.runAsyncScenario(cfg, scr)
+	sc := cfg.Scenario
+	dyn := !sc.Empty()
+	var g *graph.Graph // the evolving topology of a scenario run
+	if dyn {
+		if p.g == nil {
+			return nil, fmt.Errorf("engine: scenario runs need a graph-bound program (Bind, not BindCSR)")
+		}
+		if err := prepScenario(sc, p.g); err != nil {
+			return nil, err
+		}
+		g = p.g.Clone()
 	}
 	if scr == nil {
 		scr = NewScratch()
@@ -214,6 +239,39 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 	if err != nil {
 		return nil, err
 	}
+
+	// Scenario state: the batches still to apply, who is awake, each
+	// node's position in the Byzantine list (-1 for honest nodes), and
+	// whether deliveries are addressed by sender. The voted decoder's
+	// per-slot state (vote rings, stall counters, evicted flags) is
+	// keyed by slot, and the eviction sentinel (port letter -1) would be
+	// mis-rebuilt by a re-bind's raw-count reconstruction, so voted runs
+	// reject topological mutations up front; liveness mutations and
+	// resets are supported (a reboot clears the node's decoder slots).
+	var (
+		batches  []scenario.Batch
+		live     *scenario.Liveness
+		byz      []int32
+		bySender bool
+	)
+	if dyn {
+		batches = sc.Batches
+		live = scenario.NewLiveness(n, sc.Asleep)
+		if byz, err = byzIndex(sc.Byzantine, n, p.nl); err != nil {
+			return nil, err
+		}
+		for _, b := range batches {
+			for _, m := range b.Muts {
+				if m.Topological() {
+					if cfg.Voted != nil {
+						return nil, fmt.Errorf("engine: voted synchronizer does not support topological mutations (batch at %g)", b.At)
+					}
+					bySender = true
+				}
+			}
+		}
+	}
+
 	adv := cfg.Adversary
 	if adv == nil {
 		adv = Synchronous{}
@@ -234,7 +292,7 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 
 	// portWriteAt[k] is the time of the last write to the port at CSR
 	// edge slot k (-1 initially); lastDelivery[k] enforces FIFO on the
-	// directed edge at slot k (v → NbrDat[k]).
+	// directed edge at slot k (v → NbrDat[k]). A re-bind remaps both.
 	as.portWriteAt = grow(as.portWriteAt, ne, -1)
 	as.lastDelivery = grow(as.lastDelivery, ne, 0)
 	portWriteAt, lastDelivery := as.portWriteAt, as.lastDelivery
@@ -242,6 +300,11 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 	as.stepIndex = grow(as.stepIndex, n, 0)
 	as.lastStepAt = grow(as.lastStepAt, n, 0)
 	stepIndex, lastStepAt := as.stepIndex, as.lastStepAt
+	// epochs[v] invalidates node v's queued step event when it moves on:
+	// a crash, or a delivery that voids a parked node's precomputed
+	// chain-end event.
+	as.epochs = grow(as.epochs, n, 0)
+	epochs := as.epochs
 
 	lq := &as.lq
 	lq.reset()
@@ -267,7 +330,12 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 	if cfg.Voted != nil {
 		vs = newVotedState(cfg.Voted, ne)
 	}
-	usePool := !reorders && vs == nil
+	// Scenario runs use neither fast path. A batch crashes, reboots or
+	// rewires nodes at its own time, with no delivery to wake a parked
+	// node first, so the silent-chain walk behind parking would replay
+	// steps the node never took; and the pooled FIFOs are keyed by slot,
+	// which a re-bind renumbers and a removed edge empties.
+	usePool := !reorders && vs == nil && !dyn
 
 	// Parking is sound only when no skipped step can tie exactly with a
 	// delivery (see TieFree); observers must see every step
@@ -275,19 +343,17 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 	// index, so larger networks run fully materialized. Channel models
 	// multiply and drop deliveries, which the silent-chain walk cannot
 	// anticipate, so channel runs also materialize every step.
-	canPark := cfg.Observer == nil && model == nil && n < 1<<20 && vs == nil
+	canPark := cfg.Observer == nil && model == nil && n < 1<<20 && vs == nil && !dyn
 	if tf, ok := adv.(TieFree); !ok || !tf.TieFreeTimes() {
 		canPark = false
 	}
 	var parked []bool
-	var epochs []uint32
 	var pendingReal []bool
 	if canPark {
 		as.parked = grow(as.parked, n, false)
 		as.virtTime = grow(as.virtTime, n, 0)
 		as.virtIndex = grow(as.virtIndex, n, 0)
 		as.virtLen = grow(as.virtLen, n, 0)
-		as.epochs = grow(as.epochs, n, 0)
 		as.pendingReal = grow(as.pendingReal, n, false)
 		if cap(as.walkCap) < n {
 			as.walkCap = make([]int32, n)
@@ -296,9 +362,26 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 		for v := range as.walkCap {
 			as.walkCap[v] = walkCapMin
 		}
-		parked, epochs, pendingReal = as.parked, as.epochs, as.pendingReal
+		parked, pendingReal = as.parked, as.pendingReal
 	}
 	parkedCount := 0
+
+	// Post-perturbation settling window (the asynchronous analogue of
+	// the synchronous engines' two-stable-rounds rule): after a batch,
+	// termination additionally requires every awake node to have taken
+	// at least two steps, so a configuration that merely has not yet
+	// observed the perturbation is not mistaken for terminal. Unlike the
+	// synchronous window this is a heuristic — adversarial delays can
+	// outlast any fixed step budget — but it closes the common race.
+	// settle[v] counts node v's steps since the last batch (capped at
+	// 2); lagging counts the awake nodes still below the cap.
+	var settle []uint8
+	lagging := 0
+	if dyn {
+		as.settle = grow(as.settle, n, 0)
+		settle = as.settle
+	}
+
 	batcher, _ := adv.(StepBatcher)
 	// stepLen returns StepLength(v, t), batched per node when the
 	// adversary supports it: one hash-prefix derivation serves
@@ -329,9 +412,29 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 		}
 	}
 
-	res := &AsyncResult{States: states}
-	outputs := countOutputs(p.m, states)
-	if outputs == n {
+	res := &AsyncResult{States: states, FinalGraph: g}
+	// The run terminates when outputs, the number of awake honest nodes
+	// in an output state, reaches target, the number of awake honest
+	// nodes (Byzantine nodes never reach an output state). A static run
+	// counts every node in both.
+	var outputs, target int
+	countLive := func() {
+		outputs, target = 0, 0
+		for v := 0; v < n; v++ {
+			if (live != nil && !live.Awake(v)) || (byz != nil && byz[v] >= 0) {
+				continue
+			}
+			target++
+			if p.isOutputDS(states[v], ds) {
+				outputs++
+			}
+		}
+	}
+	countLive()
+	if !dyn && outputs == target {
+		// Static runs check the input configuration before drawing any
+		// step length, scenario runs after scheduling the first steps —
+		// the order each reference engine fixes.
 		return res, nil
 	}
 
@@ -339,6 +442,23 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 		seq      uint64
 		maxParam float64
 	)
+	timeUnits := func(t float64) float64 {
+		if maxParam == 0 {
+			return 0
+		}
+		return t / maxParam
+	}
+	// finish completes res for a run that converged at time at.
+	finish := func(at float64) *AsyncResult {
+		res.Time = at
+		res.TimeUnits = timeUnits(at)
+		res.Dropped, res.Duplicated, res.Delayed, res.Corrupted = chStats.Dropped, chStats.Duplicated, chStats.Delayed, chStats.Corrupted
+		res.Outvoted = chStats.Outvoted
+		if vs != nil {
+			vs.fill(res)
+		}
+		return res
+	}
 
 	// replay advances parked node v through every skipped step strictly
 	// before `until`, exactly as the reference engine would have
@@ -351,7 +471,8 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 	// maxParam) — bit-identical to materialized execution.
 	// tieKey 0 replays strictly before `until`; a terminating step's
 	// own key additionally includes a virtual step landing exactly on
-	// `until` whose reference-order position precedes it.
+	// `until` whose reference-order position precedes it (its successor
+	// is strictly later, so at most one such step).
 	replay := func(v int, until float64, tieKey uint64) error {
 		vt, vi := as.virtTime[v], as.virtIndex[v]
 		lastL := as.virtLen[v] // length of the pending step at vt
@@ -362,18 +483,18 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 		mp := maxParam
 		last := lastStepAt[v]
 		cs := states[v]
-		for vt < until {
+		for vt < until || (vt == until && stepKey(lastL, int32(v)) < tieKey) {
 			nx, kind := rc.silentNext(v, cs, ds)
 			if kind == rowSilentSelf {
 				// Self-loop: spin to the horizon in one tight loop.
 				buf := as.stepBuf[:]
 				bi, bn := 0, 0
-				for vt < until {
+				for vt < until || (vt == until && stepKey(lastL, int32(v)) < tieKey) {
 					last = vt
 					steps++
 					if steps >= maxSteps {
 						res.Steps = steps
-						return fmt.Errorf("%w: %s after %d steps", ErrNoConvergence, machineName(p.m), steps)
+						return errBudget(p.m, steps)
 					}
 					var l float64
 					if batcher != nil {
@@ -387,7 +508,7 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 						l = adv.StepLength(v, vi+1)
 					}
 					if l <= 0 {
-						return fmt.Errorf("engine: adversary returned non-positive step length %g for node %d step %d", l, v, vi+1)
+						return errParam("step length", l, v, vi+1)
 					}
 					if l > mp {
 						mp = l
@@ -403,7 +524,7 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 			steps++
 			if steps >= maxSteps {
 				res.Steps = steps
-				return fmt.Errorf("%w: %s after %d steps", ErrNoConvergence, machineName(p.m), steps)
+				return errBudget(p.m, steps)
 			}
 			var l float64
 			if batcher != nil {
@@ -416,7 +537,7 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 				l = adv.StepLength(v, vi+1)
 			}
 			if l <= 0 {
-				return fmt.Errorf("engine: adversary returned non-positive step length %g for node %d step %d", l, v, vi+1)
+				return errParam("step length", l, v, vi+1)
 			}
 			if l > mp {
 				mp = l
@@ -425,32 +546,6 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 			vi++
 			lastL = l
 			cs = nx
-		}
-		if vt == until && stepKey(lastL, int32(v)) < tieKey {
-			// A virtual step lands exactly on the terminating event's
-			// time and precedes it in the reference's tie order:
-			// process that one step too (its successor is strictly
-			// later, so exactly one).
-			nx, kind := rc.silentNext(v, cs, ds)
-			last = vt
-			steps++
-			if steps >= maxSteps {
-				res.Steps = steps
-				return fmt.Errorf("%w: %s after %d steps", ErrNoConvergence, machineName(p.m), steps)
-			}
-			l := stepLen(v, vi+1)
-			if l <= 0 {
-				return fmt.Errorf("engine: adversary returned non-positive step length %g for node %d step %d", l, v, vi+1)
-			}
-			if l > mp {
-				mp = l
-			}
-			vt += l
-			vi++
-			lastL = l
-			if kind == rowSilentHop {
-				cs = nx
-			}
 		}
 		as.virtTime[v], as.virtIndex[v] = vt, vi
 		as.virtLen[v] = lastL
@@ -476,7 +571,7 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 	// key the reference engine's push order implies (see stepKey).
 	schedule := func(v int, q nfsm.State, ti int, tt float64, l0 float64) {
 		if !canPark {
-			lq.push(qevent{time: tt, seq: seq, node: int32(v), step: true})
+			lq.push(qevent{time: tt, seq: seq, node: int32(v), epoch: epochs[v], step: true})
 			seq++
 			return
 		}
@@ -492,37 +587,27 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 				parkedCount++
 				return
 			}
-			if kind != rowSilentHop || hop >= chainCap {
-				// Real event (branching/transmitting row, or checkpoint
-				// on a long chain); replay reconstructs the virtual
-				// steps before it.
+			var l float64 // 0 unless the chain continues
+			if kind == rowSilentHop && hop < chainCap {
+				if batcher == nil {
+					l = adv.StepLength(v, ti+1)
+				} else if idx := ti + 1 - as.stepFrom[v]; uint(idx) < stepLenBatch {
+					l = as.stepLens[v*stepLenBatch+idx]
+				} else {
+					l = stepLen(v, ti+1)
+				}
+			}
+			if l <= 0 {
+				// Real event: a branching/transmitting row, a checkpoint
+				// on a long chain, or a non-positive length (the
+				// reference engine errors when this step consumes it).
+				// Replay reconstructs the virtual steps before it.
 				lq.push(qevent{time: tt, seq: stepKey(l0, int32(v)), node: int32(v), epoch: epochs[v], step: true})
 				pendingReal[v] = true
 				if ti > as.virtIndex[v] {
 					// Steps were virtualized ahead of the event. The
 					// state alone cannot tell (a silent cycle returns
 					// to its start state), so compare the step index.
-					parked[v] = true
-					parkedCount++
-				}
-				return
-			}
-			var l float64
-			if batcher != nil {
-				if idx := ti + 1 - as.stepFrom[v]; uint(idx) < stepLenBatch {
-					l = as.stepLens[v*stepLenBatch+idx]
-				} else {
-					l = stepLen(v, ti+1)
-				}
-			} else {
-				l = adv.StepLength(v, ti+1)
-			}
-			if l <= 0 {
-				// The reference engine errors when this step consumes
-				// the length; materialize it and let replay get there.
-				lq.push(qevent{time: tt, seq: stepKey(l0, int32(v)), node: int32(v), epoch: epochs[v], step: true})
-				pendingReal[v] = true
-				if ti > as.virtIndex[v] {
 					parked[v] = true
 					parkedCount++
 				}
@@ -535,18 +620,122 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 		}
 	}
 
-	for v := 0; v < n; v++ {
-		l := adv.StepLength(v, 1)
+	// stepAfter draws node v's next step length and schedules that step
+	// from time `after`.
+	stepAfter := func(v int, after float64) error {
+		t := stepIndex[v] + 1
+		l := stepLen(v, t)
 		if l <= 0 {
-			return nil, fmt.Errorf("engine: adversary returned non-positive step length %g for node %d step %d", l, v, 1)
+			return errParam("step length", l, v, t)
 		}
 		if l > maxParam {
 			maxParam = l
 		}
-		schedule(v, states[v], 1, l, l)
+		schedule(v, states[v], t, after+l, l)
+		return nil
 	}
 
+	// applyBatch applies one scenario batch at its time b.At: liveness
+	// and graph mutations, a re-bind carrying per-edge state across the
+	// slot renumbering, the reset policy's and the restarted nodes'
+	// reboots, and a fresh settling window.
+	applyBatch := func(b scenario.Batch) error {
+		topo := false
+		var started []int
+		for _, m := range b.Muts {
+			st, err := live.Apply(m)
+			if err != nil {
+				return err
+			}
+			started = append(started, st...)
+			if m.Kind == graph.MutCrashNode {
+				epochs[m.U]++ // invalidate the pending step event
+			}
+			if err := m.Apply(g); err != nil {
+				return err
+			}
+			topo = topo || m.Topological()
+		}
+		if topo {
+			next := g.CSR()
+			remap := graph.RemapPorts(csr, next)
+			rc.rebind(next, remap)
+			pw := grow(as.pwSpare, len(remap), -1)
+			ld := grow(as.ldSpare, len(remap), 0)
+			for k, o := range remap {
+				if o >= 0 {
+					pw[k], ld[k] = portWriteAt[o], lastDelivery[o]
+				}
+			}
+			as.portWriteAt, as.pwSpare = pw, portWriteAt
+			as.lastDelivery, as.ldSpare = ld, lastDelivery
+			portWriteAt, lastDelivery = pw, ld
+			csr = next
+		}
+		reboot := func(v int) {
+			states[v] = resetStateOf(p.m, cfg.Init, v)
+			rc.resetNode(v, csr)
+			for k := csr.NbrOff[v]; k < csr.NbrOff[v+1]; k++ {
+				portWriteAt[k] = -1
+			}
+			if vs != nil {
+				vs.resetSlots(csr.NbrOff[v], csr.NbrOff[v+1])
+			}
+		}
+		for _, v := range b.ResetSet(sc.Reset, g) {
+			if live.Awake(v) {
+				reboot(v)
+			}
+		}
+		for _, v := range started {
+			reboot(v)
+		}
+		countLive()
+		for v := range settle {
+			settle[v] = 0
+		}
+		lagging = live.NumAwake()
+		// Rebooted nodes resume stepping from the batch time.
+		for _, v := range started {
+			if err := stepAfter(v, b.At); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+
+	for v := 0; v < n; v++ {
+		if live != nil && !live.Awake(v) {
+			continue
+		}
+		if err := stepAfter(v, 0); err != nil {
+			return nil, err
+		}
+	}
+	if outputs == target && len(batches) == 0 {
+		return res, nil
+	}
+
+	nextBatch := 0
 	for {
+		if nextBatch < len(batches) {
+			// A due batch precedes every event scheduled at or after it.
+			if at, ok := lq.peekTime(); !ok || at >= batches[nextBatch].At {
+				b := batches[nextBatch]
+				if err := applyBatch(b); err != nil {
+					return nil, err
+				}
+				nextBatch++
+				res.PerturbedAt = append(res.PerturbedAt, b.At)
+				if nextBatch == len(batches) && outputs == target && lagging == 0 {
+					// Only reachable with no awake nodes left (a batch
+					// sets lagging to the awake count): vacuous
+					// convergence.
+					return finish(b.At), nil
+				}
+				continue
+			}
+		}
 		e, ok := lq.pop()
 		if !ok {
 			if parkedCount > 0 {
@@ -554,7 +743,7 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 				// self-loop spin: the reference engine keeps spinning
 				// them (self-loops cannot produce an output
 				// configuration) until the step budget aborts the run.
-				return nil, fmt.Errorf("%w: %s after %d steps", ErrNoConvergence, machineName(p.m), maxSteps)
+				return nil, errBudget(p.m, maxSteps)
 			}
 			return nil, fmt.Errorf("%w: event queue drained", ErrNoConvergence)
 		}
@@ -564,36 +753,43 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 			// value was written after the destination's last step, it was
 			// never observable — a lost message.
 			k := e.aux
+			if bySender {
+				// Resolve the port in the current snapshot; a removed
+				// edge drops its in-flight traffic (counted as Severed,
+				// distinct from paper-semantics Lost overwrites and from
+				// channel Dropped).
+				if k = portSlot(csr, v, int(k)); k < 0 {
+					res.Severed++
+					continue
+				}
+			}
 			if parkedCount > 0 && parked[v] {
 				if err := replay(v, e.time, 0); err != nil {
 					return nil, err
 				}
 			}
+			letter, commit := nfsm.Letter(e.letter), true
 			if vs != nil {
 				// Voted decoding: the receipt enters the port's vote
 				// window; only a winning letter touches the port, and a
 				// confirming winner touches nothing at all.
-				letter := nfsm.Letter(e.letter)
 				outcome, winner := vs.receive(k, letter, rc.portDat[k])
-				if outcome == voteCommit {
-					if portWriteAt[k] > lastStepAt[v] {
-						res.Lost++
-					}
-					rc.setPort(v, k, winner)
-					portWriteAt[k] = e.time
-				}
 				if e.corrupt && vs.outvoted(outcome, winner, letter) {
 					chStats.Outvoted++
 				}
-				continue
+				letter, commit = winner, outcome == voteCommit
 			}
-			if portWriteAt[k] > lastStepAt[v] {
-				res.Lost++
+			if commit {
+				if portWriteAt[k] > lastStepAt[v] {
+					res.Lost++
+				}
+				rc.setPort(v, k, letter)
+				portWriteAt[k] = e.time
 			}
-			rc.setPort(v, k, nfsm.Letter(e.letter))
-			portWriteAt[k] = e.time
-			if nx, pending := dp.delivered(k); pending {
-				lq.push(qevent{time: nx.time, seq: nx.seq, node: e.node, aux: k, letter: nx.letter})
+			if usePool {
+				if nx, pending := dp.delivered(k); pending {
+					lq.push(qevent{time: nx.time, seq: nx.seq, node: e.node, aux: k, letter: nx.letter})
+				}
 			}
 			if canPark && parked[v] {
 				// The write may have changed what the node observes:
@@ -610,10 +806,10 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 			}
 			continue
 		}
+		if e.epoch != epochs[v] {
+			continue // a crash or a mid-chain delivery voided this step
+		}
 		if canPark {
-			if e.epoch != epochs[v] {
-				continue // invalidated by a mid-chain delivery
-			}
 			if parked[v] {
 				if err := replay(v, e.time, e.seq); err != nil {
 					return nil, err
@@ -626,15 +822,24 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 
 		t := stepIndex[v] + 1
 		q := states[v]
-		moves := rc.movesFor(v, q, ds)
-		if len(moves) == 0 {
-			return nil, fmt.Errorf("engine: δ empty at node %d state %d step %d", v, q, t)
-		}
+		byzantine := byz != nil && byz[v] >= 0
+		var moves []nfsm.Move
 		var mv nfsm.Move
-		if len(moves) == 1 {
-			mv = moves[0]
+		if byzantine {
+			// Byzantine node: never runs δ (its state stays put), emits
+			// whatever its behavior dictates; the step is still counted
+			// and its traffic rides the channel like any other.
+			mv = nfsm.Move{Next: q, Emit: sc.Byzantine[byz[v]].Emit(t, p.nl)}
 		} else {
-			mv = nfsm.PickMove(cfg.Seed, v, t, moves)
+			moves = rc.movesFor(v, q, ds)
+			if len(moves) == 0 {
+				return nil, fmt.Errorf("engine: δ empty at node %d state %d step %d", v, q, t)
+			}
+			if len(moves) == 1 {
+				mv = moves[0]
+			} else {
+				mv = nfsm.PickMove(cfg.Seed, v, t, moves)
+			}
 		}
 		if mv.Next != q {
 			if p.isOutputDS(mv.Next, ds) != p.isOutputDS(q, ds) {
@@ -649,20 +854,33 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 		stepIndex[v] = t
 		lastStepAt[v] = e.time
 		res.Steps++
+		if settle != nil && settle[v] < 2 {
+			settle[v]++
+			if settle[v] == 2 && lagging > 0 {
+				lagging--
+			}
+		}
 		if cfg.Observer != nil {
 			cfg.Observer(e.time, v, t, mv.Next)
 		}
 
-		if mv.Emit != nfsm.NoLetter && vs != nil {
-			// Voted tier: burst K copies per edge; re-pulses (emissions
-			// from pausing states) advance stall counters and are gated
-			// by the per-edge backoff, round messages are never gated.
-			isRP := vs.isRePulse != nil && vs.isRePulse(q)
-			if isRP {
-				vs.rePulses++
+		if mv.Emit != nfsm.NoLetter {
+			// Voted tier: honest emissions burst K copies per edge;
+			// re-pulses (emissions from pausing states) advance stall
+			// counters and are gated by the per-edge backoff, round
+			// messages are never gated. A Byzantine node's traffic is
+			// one ungated copy (its receivers' votes and stall counters
+			// do the tolerating). The other tiers send one copy, and
+			// count a transmission even from a node with no neighbors.
+			K, isRP, sent := 1, false, vs == nil
+			if vs != nil && !byzantine {
+				K = int(vs.k)
+				isRP = vs.isRePulse != nil && vs.isRePulse(q)
+				if isRP {
+					vs.rePulses++
+				}
 			}
-			sent := false
-			K := int(vs.k)
+			reliable := [1]channel.Fate{{Letter: mv.Emit}}
 			for k := csr.NbrOff[v]; k < csr.NbrOff[v+1]; k++ {
 				u := csr.NbrDat[k]
 				if isRP {
@@ -677,26 +895,24 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 				}
 				d := adv.Delay(v, t, int(u))
 				if d <= 0 {
-					return nil, fmt.Errorf("engine: adversary returned non-positive delay %g for node %d step %d", d, v, t)
+					return nil, errParam("delay", d, v, t)
 				}
 				if d > maxParam {
 					maxParam = d
 				}
 				sent = true
 				dst := csr.NbrOff[u] + csr.RevPort[k]
+				aux := dst
+				if bySender {
+					aux = int32(v)
+				}
 				for c := 0; c < K; c++ {
-					if model == nil {
-						at := e.time + d
-						if at < lastDelivery[k] {
-							at = lastDelivery[k] // FIFO per directed edge
-						}
-						lastDelivery[k] = at
-						lq.push(qevent{time: at, seq: seq, node: u, aux: dst, letter: int32(mv.Emit)})
-						seq++
-						continue
+					fates := reliable[:]
+					if model != nil {
+						// Copy 0 of ExpandAt is Expand's stream.
+						as.chBuf = channel.ExpandAt(model, v, t, int(u), c, mv.Emit, p.nl, as.chBuf, &chStats)
+						fates = as.chBuf
 					}
-					fates := channel.ExpandAt(model, v, t, int(u), c, mv.Emit, p.nl, as.chBuf, &chStats)
-					as.chBuf = fates
 					for _, f := range fates {
 						at := e.time + d + f.Extra
 						if reorders {
@@ -712,72 +928,20 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 							}
 							lastDelivery[k] = at
 						}
-						lq.push(qevent{time: at, seq: seq, node: u, aux: dst, letter: int32(f.Letter), corrupt: f.Corrupt})
+						sq := seq
 						seq++
+						if !usePool || dp.enqueue(dst, at, sq, int32(f.Letter)) {
+							lq.push(qevent{time: at, seq: sq, node: u, aux: aux, letter: int32(f.Letter), corrupt: f.Corrupt})
+						}
 					}
 				}
 			}
 			if sent {
 				res.Transmissions++
 			}
-		} else if mv.Emit != nfsm.NoLetter {
-			res.Transmissions++
-			emit := int32(mv.Emit)
-			for k := csr.NbrOff[v]; k < csr.NbrOff[v+1]; k++ {
-				u := csr.NbrDat[k]
-				d := adv.Delay(v, t, int(u))
-				if d <= 0 {
-					return nil, fmt.Errorf("engine: adversary returned non-positive delay %g for node %d step %d", d, v, t)
-				}
-				if d > maxParam {
-					maxParam = d
-				}
-				if model == nil {
-					at := e.time + d
-					if at < lastDelivery[k] {
-						at = lastDelivery[k] // FIFO per directed edge
-					}
-					lastDelivery[k] = at
-					dst := csr.NbrOff[u] + csr.RevPort[k]
-					sq := seq
-					seq++
-					if dp.enqueue(dst, at, sq, emit) {
-						lq.push(qevent{time: at, seq: sq, node: u, aux: dst, letter: emit})
-					}
-					continue
-				}
-				fates := channel.Expand(model, v, t, int(u), mv.Emit, p.nl, as.chBuf, &chStats)
-				as.chBuf = fates
-				dst := csr.NbrOff[u] + csr.RevPort[k]
-				for _, f := range fates {
-					at := e.time + d + f.Extra
-					if reorders {
-						// No FIFO clamp: count the overtakes instead.
-						if at < lastDelivery[k] {
-							res.Reordered++
-						} else {
-							lastDelivery[k] = at
-						}
-					} else {
-						if at < lastDelivery[k] {
-							at = lastDelivery[k] // FIFO per directed edge
-						}
-						lastDelivery[k] = at
-					}
-					sq := seq
-					seq++
-					if usePool {
-						if dp.enqueue(dst, at, sq, int32(f.Letter)) {
-							lq.push(qevent{time: at, seq: sq, node: u, aux: dst, letter: int32(f.Letter)})
-						}
-					} else {
-						lq.push(qevent{time: at, seq: sq, node: u, aux: dst, letter: int32(f.Letter)})
-					}
-				}
-			}
 		}
 
-		if outputs == n {
+		if outputs == target && nextBatch == len(batches) && lagging == 0 {
 			if parkedCount > 0 {
 				// Flush the parked nodes' skipped steps (all strictly
 				// before the terminating event under a TieFree
@@ -797,17 +961,14 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 				}
 				res.Steps++
 			}
-			res.Time = e.time
-			res.TimeUnits = e.time / maxParam
-			res.Dropped, res.Duplicated, res.Delayed, res.Corrupted = chStats.Dropped, chStats.Duplicated, chStats.Delayed, chStats.Corrupted
-			res.Outvoted = chStats.Outvoted
-			if vs != nil {
-				vs.fill(res)
+			if len(res.PerturbedAt) > 0 {
+				res.RecoveryTime = e.time - res.PerturbedAt[len(res.PerturbedAt)-1]
+				res.RecoveryTimeUnits = timeUnits(res.RecoveryTime)
 			}
-			return res, nil
+			return finish(e.time), nil
 		}
 		if res.Steps >= maxSteps {
-			return nil, fmt.Errorf("%w: %s after %d steps", ErrNoConvergence, machineName(p.m), res.Steps)
+			return nil, errBudget(p.m, res.Steps)
 		}
 		if canPark && len(moves) == 1 && mv.Emit == nfsm.NoLetter {
 			// A materialized silent step is a checkpoint reached
@@ -816,13 +977,19 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 			// cheap where deliveries are frequent).
 			as.walkCap[v] = walkCapMax
 		}
-		l := stepLen(v, t+1)
-		if l <= 0 {
-			return nil, fmt.Errorf("engine: adversary returned non-positive step length %g for node %d step %d", l, v, t+1)
+		if err := stepAfter(v, e.time); err != nil {
+			return nil, err
 		}
-		if l > maxParam {
-			maxParam = l
-		}
-		schedule(v, mv.Next, t+1, e.time+l, l)
 	}
+}
+
+// errBudget reports a run that exhausted its step budget.
+func errBudget(m nfsm.Machine, steps int64) error {
+	return fmt.Errorf("%w: %s after %d steps", ErrNoConvergence, machineName(m), steps)
+}
+
+// errParam reports a non-positive adversary parameter — a step length
+// or a delay — drawn for node v's step t.
+func errParam(kind string, x float64, v, t int) error {
+	return fmt.Errorf("engine: adversary returned non-positive %s %g for node %d step %d", kind, x, v, t)
 }

@@ -11,14 +11,28 @@ import (
 )
 
 // This file is the dynamic reference engine for the asynchronous
-// environment: the same scenario semantics as runAsyncScenario,
-// implemented independently in the seed engine's style — nested-slice
-// ports and timing state in adjacency order, interface dispatch,
-// per-step count recomputation, container/heap event queue, and a
-// from-scratch rebuild of every nested structure at each mutation
-// batch (with per-edge state carried by looking ports up through the
-// previous graph). The differential suites compare it bit for bit with
-// the fast executor.
+// environment: the same scenario semantics as the scenario hooks of
+// Program.RunAsyncReusing, implemented independently in the seed
+// engine's style — nested-slice ports and timing state in adjacency
+// order, interface dispatch, per-step count recomputation,
+// container/heap event queue, and a from-scratch rebuild of every
+// nested structure at each mutation batch (with per-edge state carried
+// by looking ports up through the previous graph). The differential suites compare it bit for bit with
+// the production executor.
+
+// dynEvent is the seed dynamic engine's queue entry, the reference
+// oracle's own (the production executor uses the ladder queue's
+// qevent).
+type dynEvent struct {
+	time    float64
+	seq     uint64
+	node    int         // stepping node, or the delivery's destination
+	from    int         // delivery only: the transmitting node
+	letter  nfsm.Letter // delivery only
+	epoch   uint32      // step only: liveness epoch at scheduling time
+	step    bool
+	corrupt bool // delivery only: letter rewritten by the channel
+}
 
 // refDynHeap is the container/heap-boxed queue of dynamic events.
 type refDynHeap []dynEvent
@@ -117,7 +131,7 @@ func runAsyncRefScenario(m nfsm.Machine, g0 *graph.Graph, cfg AsyncConfig) (*Asy
 	stepIndex := make([]int, n)
 	lastStepAt := make([]float64, n)
 
-	// Post-perturbation settling window; see runAsyncScenario.
+	// Post-perturbation settling window; see RunAsyncReusing.
 	stepsSince := make([]int, n)
 	lagging := 0
 
@@ -354,7 +368,7 @@ func runAsyncRefScenario(m nfsm.Machine, g0 *graph.Graph, cfg AsyncConfig) (*Asy
 		}
 
 		if emit != nfsm.NoLetter && vs != nil {
-			// Voted tier: see runAsyncScenario — honest emissions burst K
+			// Voted tier: see RunAsyncReusing — honest emissions burst K
 			// copies per edge, re-pulses are gated per edge, Byzantine
 			// traffic is one ungated copy.
 			isRP := !isByz(v) && vs.isRePulse != nil && vs.isRePulse(q)

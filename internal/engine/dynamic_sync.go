@@ -48,6 +48,49 @@ func prepScenario(sc *scenario.Scenario, g *graph.Graph) error {
 	return sc.Validate(g)
 }
 
+// byzIndex maps each node to its position in the scenario's Byzantine
+// list (-1 for honest nodes), validating every behavior against the
+// node count and alphabet size. Every scenario-capable executor calls
+// it, so an ill-formed Byzantine set fails identically everywhere.
+func byzIndex(byz []channel.ByzNode, n, nl int) ([]int32, error) {
+	if len(byz) == 0 {
+		return nil, nil
+	}
+	idx := make([]int32, n)
+	for v := range idx {
+		idx[v] = -1
+	}
+	for i, b := range byz {
+		if err := b.Validate(n, nl); err != nil {
+			return nil, err
+		}
+		if idx[b.Node] >= 0 {
+			return nil, fmt.Errorf("engine: duplicate byzantine node %d", b.Node)
+		}
+		idx[b.Node] = int32(i)
+	}
+	return idx, nil
+}
+
+// portSlot returns the CSR slot of node to's port from node from, or -1
+// when {from, to} is not an edge of the snapshot (binary search over
+// to's sorted run).
+func portSlot(csr *graph.CSR, to, from int) int32 {
+	lo, hi := csr.NbrOff[to], csr.NbrOff[to+1]
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if csr.NbrDat[mid] < int32(from) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < csr.NbrOff[to+1] && csr.NbrDat[lo] == int32(from) {
+		return lo
+	}
+	return -1
+}
+
 // resetStateOf returns the state a rebooted node v resumes from: its
 // per-node input when the run was configured with one, the machine's
 // default input state otherwise.

@@ -1,16 +1,18 @@
 package engine_test
 
-// The dynamic-network differential suite: the fast dynamic executors
-// (runSyncScenario / runAsyncScenario behind the Scenario config hooks)
-// must be bit-identical to the independent dynamic reference engines on
-// every (machine, graph, scenario, seed) cell — rounds/times, counts,
-// states, perturbation log, recovery metrics and the final graph. The
-// fuzz targets in fuzz_test.go extend the same comparison to arbitrary
+// The dynamic-network differential suite: the production executors'
+// scenario paths (runSyncScenario on the sync side, the scenario hooks
+// of Program.RunAsyncReusing on the async side) must be bit-identical
+// to the independent dynamic reference engines on every (machine,
+// graph, scenario, seed) cell — rounds/times, counts, states,
+// perturbation log, recovery metrics and the final graph. The fuzz
+// targets in fuzz_test.go extend the same comparison to arbitrary
 // machines and scenarios.
 
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"stoneage/internal/engine"
@@ -192,11 +194,19 @@ func TestDifferentialDynamicAsync(t *testing.T) {
 
 // TestDynamicStaticParity pins the dispatch: a nil scenario and an
 // empty scenario take the static path and agree with a plain static
-// run bit for bit, with no dynamic extras reported.
+// run bit for bit, with no dynamic extras reported. The async arm runs
+// under a TieFree adversary, so the static branch of the one async
+// executor parks nodes and pools deliveries — an empty scenario must
+// keep both fast paths and report exactly what a static run does.
 func TestDynamicStaticParity(t *testing.T) {
 	m := mis.Protocol()
 	g := graph.GnpConnected(48, 4.0/48, xrand.New(2))
 	base, err := engine.RunSync(m, g, engine.SyncConfig{Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	adv := engine.UniformRandom{Seed: 4}
+	abase, err := engine.RunAsync(m, g, engine.AsyncConfig{Seed: 9, Adversary: adv})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,6 +220,17 @@ func TestDynamicStaticParity(t *testing.T) {
 		}
 		if got.PerturbedAt != nil || got.FinalGraph != nil || got.RecoveryRounds != 0 {
 			t.Fatalf("scenario %v: static run reports dynamic extras", sc)
+		}
+
+		agot, err := engine.RunAsync(m, g, engine.AsyncConfig{Seed: 9, Adversary: adv, Scenario: sc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if agot.PerturbedAt != nil || agot.FinalGraph != nil || agot.RecoveryTime != 0 || agot.RecoveryTimeUnits != 0 {
+			t.Fatalf("scenario %v: static async run reports dynamic extras", sc)
+		}
+		if !reflect.DeepEqual(agot, abase) {
+			t.Fatalf("scenario %v perturbed a static async run:\n got %+v\nwant %+v", sc, agot, abase)
 		}
 	}
 }

@@ -23,18 +23,19 @@ package engine
 // so a Scratch-reusing run performs no queue allocations at all once
 // the slices have grown to the run's high-water mark.
 
-// qevent is a queue entry shared by the static and dynamic asynchronous
-// executors: either a node step or a port delivery.
+// qevent is the asynchronous executor's queue entry: either a node step
+// or a port delivery.
 type qevent struct {
 	time float64
 	seq  uint64 // FIFO-stable tiebreak for equal times
 	node int32  // stepping node, or the delivery's destination
-	// aux is the CSR edge slot of a static delivery, or the transmitting
-	// node of a dynamic delivery (slots renumber across re-binds, so
-	// dynamic deliveries are addressed by directed edge).
+	// aux is the CSR edge slot of a delivery's destination port, or its
+	// transmitting node when the run's scenario has a topological
+	// mutation (slots renumber across re-binds, so those deliveries are
+	// addressed by directed edge).
 	aux    int32
 	letter int32  // delivery only
-	epoch  uint32 // dynamic step only: liveness epoch at scheduling time
+	epoch  uint32 // step only: the node's epoch at scheduling time
 	step   bool
 	// corrupt marks a delivery whose letter a channel Corrupt policy
 	// rewrote (voted runs count refused corrupted receipts with it).
@@ -311,8 +312,9 @@ type pend struct {
 	next   int32
 }
 
-// delivPool is the pooled per-directed-edge delivery FIFO set used by
-// the static asynchronous executor. Deliveries on a directed edge are
+// delivPool is the pooled per-directed-edge delivery FIFO set the
+// asynchronous executor uses outside scenarios, reordering channels and
+// the voted tier. Deliveries on a directed edge are
 // FIFO (the adversary's horizons are clamped monotone), so only the
 // earliest outstanding delivery of each edge needs to live in the
 // ladder; the rest wait here and are promoted one at a time. This

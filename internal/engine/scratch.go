@@ -27,7 +27,7 @@ type Scratch struct {
 	rc runCounts
 	ds dynScratch
 
-	// as holds the asynchronous executors' working state — the ladder
+	// as holds the asynchronous executor's working state — the ladder
 	// queue, delivery pools, parking arrays — allocated on first async
 	// use so purely synchronous callers pay for none of it (the inline
 	// bucket table alone is over a kilobyte).
@@ -43,7 +43,7 @@ type Scratch struct {
 	lastCode *MachineCode
 }
 
-// asyncScratch is the asynchronous executors' reusable working state.
+// asyncScratch is the asynchronous executor's reusable working state.
 type asyncScratch struct {
 	lq ladder
 	dp delivPool
@@ -52,15 +52,24 @@ type asyncScratch struct {
 	lastDelivery []float64
 	stepIndex    []int
 	lastStepAt   []float64
+	// epochs is the per-node step-event epoch: a crash, or a delivery
+	// that voids a parked node's precomputed chain-end event, bumps it.
+	epochs []uint32
 
-	// Parking state (static async executor): parked nodes' pending
-	// virtual step, the per-node event epoch that invalidates
-	// precomputed chain-end events, and whether one is in the queue.
+	// Scenario state: the spare halves of portWriteAt and lastDelivery
+	// that a topology re-bind remaps into, and the per-node settling
+	// counters.
+	pwSpare []float64
+	ldSpare []float64
+	settle  []uint8
+
+	// Parking state (runs outside scenarios, channel models and the
+	// voted tier): parked nodes' pending virtual step, and whether a
+	// precomputed chain-end event is in the queue.
 	parked      []bool
 	virtTime    []float64
 	virtIndex   []int
 	virtLen     []float64
-	epochs      []uint32
 	pendingReal []bool
 	stepBuf     [256]float64
 

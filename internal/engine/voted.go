@@ -54,10 +54,11 @@ import (
 //     could reset would starve a live-but-noisy neighbor's stall
 //     counter into a spurious eviction.
 //
-// All four asynchronous executors (static and dynamic, ladder and
-// reference) drive the same votedState methods in the same per-slot
-// order, the way they share channel.Expand — the decoding logic exists
-// once, so the executor pairs cannot diverge on it.
+// The asynchronous executor and both asynchronous reference engines
+// (static and scenario) drive the same votedState methods in the same
+// per-slot order, the way they share channel.ExpandAt — the decoding
+// logic exists once, so the executor and its oracles cannot diverge on
+// it.
 
 // VotedConfig parameterizes the voted synchronizer tier. The zero
 // value of each knob selects its default.
