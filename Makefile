@@ -29,15 +29,15 @@ test:
 # (TestPackedFootprint: packed run state stays under its bytes-per-node
 # budget); the million-node benchmark itself is size-gated off
 # single-core CI and runs via `make bench` on real hardware.
-# The engine allocation line (TestAllocs*) covers static, voted and
-# scenario async runs. The distributed-sweep gate follows: the smoke
-# spec sharded over 3 worker processes (a fresh work directory, real
-# re-exec'd `stonesim work` workers) must emit JSON and CSV
-# byte-identical to the single-process run once -stripwall removes the
-# machine-dependent wall-clock stats. The last line vets and tests the
-# benchmark module: perfbench/ is a Go module of its own, so the root
-# `./...` patterns never compile it, and an engine API change could
-# otherwise break the benchmark unseen.
+# The engine allocation line (TestAllocs*) covers static, scenario and
+# channel sync runs and static, voted and scenario async runs. The
+# distributed-sweep gate follows: the smoke spec sharded over 3 worker
+# processes (a fresh work directory, real re-exec'd `stonesim work`
+# workers) must emit JSON and CSV byte-identical to the single-process
+# run once -stripwall removes the machine-dependent wall-clock stats.
+# The last line vets and tests the benchmark module: perfbench/ is a Go
+# module of its own, so the root `./...` patterns never compile it, and
+# an engine API change could otherwise break the benchmark unseen.
 check: build
 	@fmt_out="$$(gofmt -l .)"; if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi

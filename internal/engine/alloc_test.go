@@ -189,6 +189,63 @@ func TestAllocsAsyncScenario(t *testing.T) {
 	}
 }
 
+// TestAllocsSyncScenario pins the scenario and channel hooks of the
+// sync executor: a scenario or channel run takes its port counts,
+// emission buffers and channel buffers from the scratch arena like a
+// static run, so what remains per run is fixed setup — the cloned graph
+// the run mutates (one slice per node), the liveness table, the
+// Byzantine index, the perturbation log — never a cost that grows with
+// the rounds executed. The three cases are a crash→restart under
+// ResetAll (liveness only), a silent Byzantine node, and a channel-only
+// drop model.
+func TestAllocsSyncScenario(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	g := graph.GnpConnected(24, 0.2, xrand.New(18))
+	prog := Compile(allocProtocol(), g)
+	cases := []struct {
+		name  string
+		sc    *scenario.Scenario
+		model channel.Model
+	}{
+		{"crash-restart", &scenario.Scenario{
+			Reset: scenario.ResetAll,
+			Batches: []scenario.Batch{
+				{At: 3, Muts: []graph.Mutation{{Kind: graph.MutCrashNode, U: 5}}},
+				{At: 8, Muts: []graph.Mutation{{Kind: graph.MutRestartNode, U: 5}}},
+			},
+		}, nil},
+		{"byz-silent", &scenario.Scenario{
+			Reset:     scenario.ResetNone,
+			Byzantine: []channel.ByzNode{channel.Silent(0)},
+		}, nil},
+		{"channel-drop", nil, channel.Drop{Rate: 0.2, Seed: 3}},
+	}
+	for _, c := range cases {
+		scr := NewScratch()
+		seed := uint64(0)
+		run := func() {
+			seed++
+			cfg := SyncConfig{Seed: seed, Scenario: c.sc, Channel: c.model}
+			if _, err := prog.RunSyncReusing(cfg, scr); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+		}
+		for i := 0; i < 8; i++ {
+			run()
+		}
+		allocs := testing.AllocsPerRun(20, run)
+		// The graph clone (24 adjacency slices and its header), the
+		// liveness table, the reset sets, the perturbation log, result
+		// and States, and slack for the testing harness itself.
+		const maxAllocs = 64
+		if allocs > maxAllocs {
+			t.Fatalf("%s: sync scenario run allocates %.1f objects/op, want ≤ %d", c.name, allocs, maxAllocs)
+		}
+	}
+}
+
 // TestAllocsLadderOps pins the queue itself: pushes and pops on a
 // warmed ladder must not allocate at all, and neither may the pooled
 // delivery FIFOs.

@@ -910,8 +910,8 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 					fates := reliable[:]
 					if model != nil {
 						// Copy 0 of ExpandAt is Expand's stream.
-						as.chBuf = channel.ExpandAt(model, v, t, int(u), c, mv.Emit, p.nl, as.chBuf, &chStats)
-						fates = as.chBuf
+						scr.chBuf = channel.ExpandAt(model, v, t, int(u), c, mv.Emit, p.nl, scr.chBuf, &chStats)
+						fates = scr.chBuf
 					}
 					for _, f := range fates {
 						at := e.time + d + f.Extra

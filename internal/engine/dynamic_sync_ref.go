@@ -16,11 +16,11 @@ import (
 // nested-slice ports in adjacency order, interface dispatch into
 // m.Moves, full count recomputation per node per round, and a
 // from-scratch rebuild of every derived structure at each mutation
-// batch. It shares no executor code with runSyncScenario (only the
-// scenario policy definitions), so the differential and fuzz suites
-// comparing the two really do pin the fast path's re-binding,
-// port-carrying and liveness handling against an independent
-// implementation.
+// batch. It shares no executor code with the scenario hooks of
+// Program.RunSyncReusing (only the scenario policy definitions), so the
+// differential and fuzz suites comparing the two really do pin the fast
+// path's re-binding, port-carrying and liveness handling against an
+// independent implementation.
 
 // runSyncRefScenario executes machine m on g under cfg.Scenario with
 // the reference representation.
@@ -54,8 +54,8 @@ func runSyncRefScenario(m nfsm.Machine, g0 *graph.Graph, cfg SyncConfig) (*SyncR
 	}
 	isByz := func(v int) bool { return byz != nil && byz[v] >= 0 }
 
-	// Channel model state; see runSyncScenario — fates expand through
-	// the exact helper the compiled executor uses.
+	// Channel model state; see syncExec.deliverChannel — fates expand
+	// through the exact helper the compiled executor uses.
 	model := cfg.Channel
 	reorders := model != nil && model.Reorders()
 	var chStats channel.Stats
@@ -97,7 +97,7 @@ func runSyncRefScenario(m nfsm.Machine, g0 *graph.Graph, cfg SyncConfig) (*SyncR
 	nextBatch := 0
 	lastPerturb := 0
 	// Two consecutive stable rounds are required after a perturbation;
-	// see the confirmation-window comment in runSyncScenario.
+	// see the confirmation-window comment in Program.RunSyncReusing.
 	stable := 0
 	if nextBatch == len(sc.Batches) && outputs == target() {
 		return res, nil
@@ -195,7 +195,7 @@ func runSyncRefScenario(m nfsm.Machine, g0 *graph.Graph, cfg SyncConfig) (*SyncR
 			emits[v] = mv.Emit
 		}
 		// Channel-deferred deliveries land before the round's own
-		// traffic; see runSyncScenario.
+		// traffic; see syncExec.deliverChannel.
 		if model != nil && len(pend) > 0 {
 			keep := pend[:0]
 			for _, pd := range pend {

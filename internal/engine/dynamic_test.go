@@ -1,13 +1,12 @@
 package engine_test
 
-// The dynamic-network differential suite: the production executors'
-// scenario paths (runSyncScenario on the sync side, the scenario hooks
-// of Program.RunAsyncReusing on the async side) must be bit-identical
-// to the independent dynamic reference engines on every (machine,
-// graph, scenario, seed) cell — rounds/times, counts, states,
-// perturbation log, recovery metrics and the final graph. The fuzz
-// targets in fuzz_test.go extend the same comparison to arbitrary
-// machines and scenarios.
+// The dynamic-network differential suite: the scenario hooks of the
+// production executors (Program.RunSyncReusing and
+// Program.RunAsyncReusing) must be bit-identical to the independent
+// dynamic reference engines on every (machine, graph, scenario, seed)
+// cell — rounds/times, counts, states, perturbation log, recovery
+// metrics and the final graph. The fuzz targets in fuzz_test.go extend
+// the same comparison to arbitrary machines and scenarios.
 
 import (
 	"errors"
@@ -76,8 +75,8 @@ func sameGraph(a, b *graph.Graph) bool {
 	return true
 }
 
-// TestDifferentialDynamicSync compares the compiled dynamic executor
-// with the dynamic reference engine across machines, graphs, scenarios
+// TestDifferentialDynamicSync compares the scenario hooks of the
+// compiled executor with the dynamic reference engine across machines, graphs, scenarios
 // and seeds.
 func TestDifferentialDynamicSync(t *testing.T) {
 	machines := []nfsm.Machine{mis.Protocol(), flood()}
@@ -193,8 +192,10 @@ func TestDifferentialDynamicAsync(t *testing.T) {
 }
 
 // TestDynamicStaticParity pins the dispatch: a nil scenario and an
-// empty scenario take the static path and agree with a plain static
-// run bit for bit, with no dynamic extras reported. The async arm runs
+// empty scenario take the static branch of each executor and agree
+// with a plain static run bit for bit, with no dynamic extras
+// reported. The sync arm runs sequentially and on three workers, so an
+// empty scenario must keep the sharded path too. The async arm runs
 // under a TieFree adversary, so the static branch of the one async
 // executor parks nodes and pools deliveries — an empty scenario must
 // keep both fast paths and report exactly what a static run does.
@@ -211,15 +212,17 @@ func TestDynamicStaticParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sc := range []*scenario.Scenario{nil, {}, {Name: "noop"}} {
-		got, err := engine.RunSync(m, g, engine.SyncConfig{Seed: 9, Scenario: sc})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Rounds != base.Rounds || got.Transmissions != base.Transmissions || !sameStates(got.States, base.States) {
-			t.Fatalf("scenario %v perturbed a static run", sc)
-		}
-		if got.PerturbedAt != nil || got.FinalGraph != nil || got.RecoveryRounds != 0 {
-			t.Fatalf("scenario %v: static run reports dynamic extras", sc)
+		for _, workers := range []int{1, 3} {
+			got, err := engine.RunSync(m, g, engine.SyncConfig{Seed: 9, Scenario: sc, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.PerturbedAt != nil || got.FinalGraph != nil || got.RecoveryRounds != 0 {
+				t.Fatalf("scenario %v, %d workers: static run reports dynamic extras", sc, workers)
+			}
+			if !reflect.DeepEqual(got, base) {
+				t.Fatalf("scenario %v, %d workers perturbed a static run:\n got %+v\nwant %+v", sc, workers, got, base)
+			}
 		}
 
 		agot, err := engine.RunAsync(m, g, engine.AsyncConfig{Seed: 9, Adversary: adv, Scenario: sc})

@@ -23,8 +23,10 @@ import (
 	"errors"
 	"fmt"
 
+	"stoneage/internal/channel"
 	"stoneage/internal/graph"
 	"stoneage/internal/nfsm"
+	"stoneage/internal/scenario"
 )
 
 // ErrNoConvergence is returned when a run exhausts its round, step or time
@@ -52,6 +54,74 @@ func initialStates(m nfsm.Machine, n int, init []nfsm.State) ([]nfsm.State, erro
 		states[v] = q
 	}
 	return states, nil
+}
+
+// errResetAuto rejects unresolved reset policies: the engines do not
+// know protocol capabilities, so scenario.ResetAuto must be resolved by
+// the protocol layer (or the caller) before a run starts.
+var errResetAuto = errors.New("engine: scenario reset policy auto must be resolved before execution")
+
+// prepScenario validates the scenario against the bound graph and
+// rejects unresolved reset policies. Both engines of each environment
+// run it first, so invalid scenarios fail identically everywhere.
+func prepScenario(sc *scenario.Scenario, g *graph.Graph) error {
+	if sc.Reset == scenario.ResetAuto {
+		return errResetAuto
+	}
+	return sc.Validate(g)
+}
+
+// byzIndex maps each node to its position in the scenario's Byzantine
+// list (-1 for honest nodes), validating every behavior against the
+// node count and alphabet size. Every scenario-capable executor calls
+// it, so an ill-formed Byzantine set fails identically everywhere.
+func byzIndex(byz []channel.ByzNode, n, nl int) ([]int32, error) {
+	if len(byz) == 0 {
+		return nil, nil
+	}
+	idx := make([]int32, n)
+	for v := range idx {
+		idx[v] = -1
+	}
+	for i, b := range byz {
+		if err := b.Validate(n, nl); err != nil {
+			return nil, err
+		}
+		if idx[b.Node] >= 0 {
+			return nil, fmt.Errorf("engine: duplicate byzantine node %d", b.Node)
+		}
+		idx[b.Node] = int32(i)
+	}
+	return idx, nil
+}
+
+// portSlot returns the CSR slot of node to's port from node from, or -1
+// when {from, to} is not an edge of the snapshot (binary search over
+// to's sorted run).
+func portSlot(csr *graph.CSR, to, from int) int32 {
+	lo, hi := csr.NbrOff[to], csr.NbrOff[to+1]
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if csr.NbrDat[mid] < int32(from) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < csr.NbrOff[to+1] && csr.NbrDat[lo] == int32(from) {
+		return lo
+	}
+	return -1
+}
+
+// resetStateOf returns the state a rebooted node v resumes from: its
+// per-node input when the run was configured with one, the machine's
+// default input state otherwise.
+func resetStateOf(m nfsm.Machine, init []nfsm.State, v int) nfsm.State {
+	if init != nil {
+		return init[v]
+	}
+	return m.InputState()
 }
 
 // portTopology precomputes, for every node v and every neighbor index i of

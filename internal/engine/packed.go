@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
 	"sync"
 
 	"stoneage/internal/nfsm"
@@ -607,9 +606,6 @@ func (p *Program) runSyncPacked(cfg SyncConfig, scr *Scratch) (*SyncResult, erro
 	if !pc.ok {
 		return nil, fmt.Errorf("engine: machine %s is not packed-eligible (flat-tabulated, b ≤ %d required)", machineName(p.m), maxPackedB)
 	}
-	if !cfg.Scenario.Empty() || cfg.Channel != nil {
-		return nil, fmt.Errorf("engine: the packed backend supports neither scenarios nor channel models")
-	}
 	if scr == nil {
 		scr = NewScratch()
 	}
@@ -633,19 +629,7 @@ func (p *Program) runSyncPacked(cfg SyncConfig, scr *Scratch) (*SyncResult, erro
 		return res, nil
 	}
 
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-		if max := n / minShard; workers > max {
-			workers = max
-		}
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > ps.nw {
-		workers = ps.nw
-	}
+	workers := shardWorkers(cfg.Workers, n, ps.nw)
 
 	exec := &packedExec{p: p, pc: pc, ps: ps, seed: cfg.Seed}
 	if workers > 1 {

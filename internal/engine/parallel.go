@@ -2,10 +2,14 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 
+	"stoneage/internal/channel"
+	"stoneage/internal/graph"
 	"stoneage/internal/nfsm"
+	"stoneage/internal/scenario"
 )
 
 // minShard is the smallest per-worker node range the default worker
@@ -13,6 +17,25 @@ import (
 // the sharded compute. An explicit SyncConfig.Workers bypasses the
 // heuristic.
 const minShard = 256
+
+// shardWorkers resolves a requested worker count for n nodes: zero or
+// negative selects GOMAXPROCS, scaled down so every worker keeps at
+// least minShard nodes; the result is clamped to [1, limit].
+func shardWorkers(workers, n, limit int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+		if max := n / minShard; workers > max {
+			workers = max
+		}
+	}
+	if workers > limit {
+		workers = limit
+	}
+	if workers < 1 {
+		workers = 1
+	}
+	return workers
+}
 
 // shardResult carries one worker's per-phase aggregates back to the
 // coordinator.
@@ -38,31 +61,47 @@ func (p *Program) RunSync(cfg SyncConfig) (*SyncResult, error) {
 
 // RunSyncReusing executes the compiled program synchronously, reusing
 // the scratch arena's counters, buffers and dynamic-machine memos
-// across runs (scr may be nil for a private arena). The worker pool is
-// still per-run; tight trial loops run with Workers == 1 per worker
-// goroutine and parallelize across trials instead, which is what the
-// campaign runner does.
+// across runs (scr may be nil for a private arena). After picking the
+// backend it is the only production flat synchronous executor: a
+// non-empty cfg.Scenario or a cfg.Channel adds its hooks (batches,
+// liveness, Byzantine emitters, the channel deliver, the confirmation
+// window) to the static round loop. Those runs stay sequential: a
+// re-bind renumbers the slots the shard routing buckets address, and
+// the channel's pending list and reorder horizons are order-dependent
+// shared state. The worker pool is per-run; tight trial loops run with
+// Workers == 1 per worker goroutine and parallelize across trials
+// instead, which is what the campaign runner does.
 func (p *Program) RunSyncReusing(cfg SyncConfig, scr *Scratch) (*SyncResult, error) {
-	if !cfg.Scenario.Empty() || cfg.Channel != nil {
-		if cfg.Backend == BackendPacked {
-			return nil, fmt.Errorf("engine: the packed backend supports neither scenarios nor channel models")
-		}
-		if cfg.Backend != "" && cfg.Backend != BackendFlat {
-			return nil, fmt.Errorf("engine: unknown sync backend %q (want %q or %q)", cfg.Backend, BackendFlat, BackendPacked)
-		}
-		return p.runSyncScenario(cfg, scr)
-	}
+	sc := cfg.Scenario
+	dyn := !sc.Empty() || cfg.Channel != nil
 	switch cfg.Backend {
 	case BackendPacked:
+		if dyn {
+			return nil, fmt.Errorf("engine: the packed backend supports neither scenarios nor channel models")
+		}
 		return p.runSyncPacked(cfg, scr)
 	case BackendFlat:
 		// forced flat
 	case "":
-		if p.csr.N() >= packedAutoThreshold && p.PackedEligible() {
+		if !dyn && p.csr.N() >= packedAutoThreshold && p.PackedEligible() {
 			return p.runSyncPacked(cfg, scr)
 		}
 	default:
 		return nil, fmt.Errorf("engine: unknown sync backend %q (want %q or %q)", cfg.Backend, BackendFlat, BackendPacked)
+	}
+	var g *graph.Graph // the evolving topology of a scenario or channel run
+	if dyn {
+		if sc == nil {
+			// A channel model alone runs the empty scenario.
+			sc = &scenario.Scenario{Reset: scenario.ResetNone}
+		}
+		if p.g == nil {
+			return nil, fmt.Errorf("engine: scenario and channel runs need a graph-bound program (Bind, not BindCSR)")
+		}
+		if err := prepScenario(sc, p.g); err != nil {
+			return nil, err
+		}
+		g = p.g.Clone()
 	}
 	if scr == nil {
 		scr = NewScratch()
@@ -86,49 +125,87 @@ func (p *Program) RunSyncReusing(cfg SyncConfig, scr *Scratch) (*SyncResult, err
 	}
 	emits := scr.emits[:n]
 
-	res := &SyncResult{States: states}
-	outputs := countOutputs(p.m, states)
-	if outputs == n {
+	exec := &syncExec{p: p, csr: p.csr, rc: rc, states: states, emits: emits, seed: cfg.Seed}
+	var batches []scenario.Batch
+	if dyn {
+		batches = sc.Batches
+		exec.live = scenario.NewLiveness(n, sc.Asleep)
+		if exec.byz, err = byzIndex(sc.Byzantine, n, p.nl); err != nil {
+			return nil, err
+		}
+		exec.byzNodes = sc.Byzantine
+		exec.model = cfg.Channel
+		if exec.model != nil && exec.model.Reorders() {
+			exec.horizon = make(map[uint64]int)
+		}
+		scr.pend = scr.pend[:0]
+		exec.scr = scr
+	}
+
+	res := &SyncResult{States: states, FinalGraph: g}
+	outputs, target := exec.countLive()
+	if len(batches) == 0 && outputs == target {
 		return res, nil
 	}
 
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-		if max := n / minShard; workers > max {
-			workers = max
-		}
+	workers := 1
+	if p.parallel && !dyn {
+		workers = shardWorkers(cfg.Workers, n, n)
 	}
-	if !p.parallel || workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-
-	exec := &syncExec{p: p, rc: rc, states: states, emits: emits, seed: cfg.Seed}
 	if workers > 1 {
 		stop := exec.startWorkers(workers)
 		defer stop()
 	} else {
-		exec.dss = []*dynScratch{&scr.ds}
-		exec.emitters = [][]int32{scr.emitters[:0]}
+		exec.seqDS[0], exec.seqEmitters[0] = &scr.ds, scr.emitters[:0]
+		exec.dss, exec.emitters = exec.seqDS[:], exec.seqEmitters[:]
 		defer func() { scr.emitters = exec.emitters[0][:0] }()
 	}
 
+	nextBatch, lastPerturb := 0, 0
+	// stable counts consecutive rounds ending in an awake output
+	// configuration. After a perturbation, termination requires TWO such
+	// rounds: a batch leaves fresh ports holding the initial letter for
+	// one round, so a configuration can look terminal before the
+	// perturbation's effects have propagated — one confirmation round
+	// closes exactly that window (every awake node re-transmits and
+	// every port is delivered real letters in between).
+	stable := 0
 	for round := 1; round <= maxRounds; round++ {
+		for nextBatch < len(batches) && int(batches[nextBatch].At) < round {
+			if err := exec.applyBatch(batches[nextBatch], g, sc.Reset, cfg.Init); err != nil {
+				return nil, err
+			}
+			nextBatch++
+			lastPerturb = round - 1
+			res.PerturbedAt = append(res.PerturbedAt, round-1)
+			outputs, target = exec.countLive()
+		}
 		tx, outDelta, err := exec.computePhase(round)
 		if err != nil {
 			return nil, err
 		}
 		res.Transmissions += tx
 		outputs += outDelta
-		exec.deliverPhase()
+		if exec.model != nil {
+			exec.deliverChannel(round, res)
+		} else {
+			exec.deliverPhase()
+		}
 		if cfg.Observer != nil {
 			cfg.Observer(round, states)
 		}
-		if outputs == n {
+		if nextBatch == len(batches) && outputs == target {
+			stable++
+		} else {
+			stable = 0
+		}
+		if stable >= 2 || (stable >= 1 && len(res.PerturbedAt) == 0) {
 			res.Rounds = round
+			if len(res.PerturbedAt) > 0 {
+				res.RecoveryRounds = round - lastPerturb
+			}
+			st := exec.chStats
+			res.Dropped, res.Duplicated, res.Delayed, res.Corrupted = st.Dropped, st.Duplicated, st.Delayed, st.Corrupted
 			return res, nil
 		}
 	}
@@ -139,6 +216,7 @@ func (p *Program) RunSyncReusing(cfg SyncConfig, scr *Scratch) (*SyncResult, err
 // synchronous execution.
 type syncExec struct {
 	p      *Program
+	csr    *graph.CSR // the run's current topology (a re-bind replaces it)
 	rc     *runCounts
 	states []nfsm.State
 	emits  []nfsm.Letter
@@ -149,6 +227,22 @@ type syncExec struct {
 	// rescanning every port of the graph (most rounds of a converging
 	// protocol are mostly silent).
 	emitters [][]int32
+	// Sequential runs back dss and emitters with these, sparing two
+	// allocations per run.
+	seqDS       [1]*dynScratch
+	seqEmitters [1][]int32
+
+	// Scenario and channel hooks (nil on static runs): who is awake,
+	// each node's position in the Byzantine list (-1 for honest nodes),
+	// the channel model with its counters and per-edge reorder
+	// horizons, and the scratch arena holding the channel buffers.
+	live     *scenario.Liveness
+	byz      []int32
+	byzNodes []channel.ByzNode
+	model    channel.Model
+	chStats  channel.Stats
+	horizon  map[uint64]int
+	scr      *Scratch
 
 	// Worker pool state (nil/empty when sequential).
 	cmds    []chan int // per-worker: round r > 0 computes, -1 delivers
@@ -162,6 +256,62 @@ type syncExec struct {
 	// emitter edge set. shardOf[u] is the shard owning node u.
 	buckets [][][]portWrite
 	shardOf []int32
+}
+
+// countLive returns how many awake honest nodes are in an output state
+// and how many awake honest nodes there are, the termination target
+// (Byzantine nodes never reach an output state).
+func (e *syncExec) countLive() (outputs, target int) {
+	if e.live == nil {
+		return countOutputs(e.p.m, e.states), len(e.states)
+	}
+	for v, q := range e.states {
+		if !e.live.Awake(v) || (e.byz != nil && e.byz[v] >= 0) {
+			continue
+		}
+		target++
+		if e.p.isOutput(q) {
+			outputs++
+		}
+	}
+	return outputs, target
+}
+
+// applyBatch applies one mutation batch between rounds: it mutates the
+// graph and liveness, re-binds the port layout on topology change
+// (carrying every surviving port's letter across the slot renumbering),
+// and reboots the reset policy's node set plus every restarted or woken
+// node.
+func (e *syncExec) applyBatch(b scenario.Batch, g *graph.Graph, reset scenario.ResetPolicy, init []nfsm.State) error {
+	topo := false
+	var started []int
+	for _, m := range b.Muts {
+		st, err := e.live.Apply(m)
+		if err != nil {
+			return err
+		}
+		started = append(started, st...)
+		if err := m.Apply(g); err != nil {
+			return err
+		}
+		topo = topo || m.Topological()
+	}
+	if topo {
+		next := g.CSR()
+		e.rc.rebind(next, graph.RemapPorts(e.csr, next))
+		e.csr = next
+	}
+	for _, v := range b.ResetSet(reset, g) {
+		if e.live.Awake(v) {
+			e.states[v] = resetStateOf(e.p.m, init, v)
+			e.rc.resetNode(v, e.csr)
+		}
+	}
+	for _, v := range started {
+		e.states[v] = resetStateOf(e.p.m, init, v)
+		e.rc.resetNode(v, e.csr)
+	}
+	return nil
 }
 
 // portWrite is one routed transmission: set the port at CSR slot `slot`
@@ -251,7 +401,9 @@ func (e *syncExec) deliverPhase() {
 // from the node-indexed coin, and buffers its transmission. Writes touch
 // only states[v], emits[v] and the worker's own emitter list, so shards
 // never conflict. The δ lookup is specialized per program kind so the
-// flat paths run without a function call per node.
+// flat paths run without a function call per node; scenario and channel
+// runs take the generic branch, which holds their liveness and
+// Byzantine hooks.
 func (e *syncExec) compute(lo, hi, round, worker int) (tx int64, outDelta int, err error) {
 	p := e.p
 	states, emits, seed := e.states, e.emits, e.seed
@@ -259,7 +411,11 @@ func (e *syncExec) compute(lo, hi, round, worker int) (tx int64, outDelta int, e
 	emitters := e.emitters[worker][:0]
 	defer func() { e.emitters[worker] = emitters }()
 
-	switch p.kind {
+	kind := p.kind
+	if e.live != nil {
+		kind = progDynamic
+	}
+	switch kind {
 	case progFlatMulti:
 		delta, pdim, idx := p.delta, p.pdim, e.rc.idx
 		for v := lo; v < hi; v++ {
@@ -307,6 +463,20 @@ func (e *syncExec) compute(lo, hi, round, worker int) (tx int64, outDelta int, e
 	default:
 		ds := e.dss[worker]
 		for v := lo; v < hi; v++ {
+			if e.live != nil && !e.live.Awake(v) {
+				continue
+			}
+			if e.byz != nil && e.byz[v] >= 0 {
+				// Byzantine node: never runs δ (its state stays put),
+				// emits whatever its behavior dictates; its traffic
+				// rides the channel like any other.
+				if l := e.byzNodes[e.byz[v]].Emit(round, p.nl); l != nfsm.NoLetter {
+					emits[v] = l
+					emitters = append(emitters, int32(v))
+					tx++
+				}
+				continue
+			}
 			q := states[v]
 			moves := e.rc.movesFor(v, q, ds)
 			if len(moves) == 0 {
@@ -360,11 +530,14 @@ func deltaEmptyErr(v int, q nfsm.State, round int) error {
 }
 
 // deliver is the sequential deliver phase: it walks every emitter's
-// edges through the flattened reverse-port table and applies the
-// writes. The body is runCounts.setPort unrolled with its indirections
-// hoisted — this is the hottest loop of the engine.
+// edges through the flattened reverse-port table of the run's current
+// topology and applies the writes. The body is runCounts.setPort
+// unrolled with its indirections hoisted — this is the hottest loop of
+// the engine. Ports of every neighbor are link-endpoint memory and
+// receive the letter regardless of the neighbor's liveness (a reboot
+// clears them anyway).
 func (e *syncExec) deliver() {
-	csr := e.p.csr
+	csr := e.csr
 	rc := e.rc
 	off, nbr, rev := csr.NbrOff, csr.NbrDat, csr.RevPort
 	portDat, raw, idx, pow := rc.portDat, rc.raw, rc.idx, e.p.pow
@@ -391,6 +564,63 @@ func (e *syncExec) deliver() {
 					if raw[in] <= b {
 						idx[u] += pow[l]
 					}
+				}
+			}
+		}
+	}
+}
+
+// syncPend is a channel-delayed synchronous delivery: a reordering
+// model's extra delay rounds up to whole rounds, and the letter lands
+// in the deliver phase of round due (resolving the destination port
+// against the topology of that round — a removed edge severs it).
+type syncPend struct {
+	due      int
+	from, to int32
+	letter   nfsm.Letter
+}
+
+// deliverChannel is the sequential deliver phase of a channel run.
+// Deliveries deferred by a reordering model land first, so the round's
+// own traffic overwrites stale letters, never the other way around;
+// then every per-neighbor copy of the round's traffic expands through
+// the model into fates that land now or join the pending list.
+func (e *syncExec) deliverChannel(round int, res *SyncResult) {
+	csr, rc, s := e.csr, e.rc, e.scr
+	if len(s.pend) > 0 {
+		keep := s.pend[:0]
+		for _, pd := range s.pend {
+			if pd.due != round {
+				keep = append(keep, pd)
+				continue
+			}
+			if k := portSlot(csr, int(pd.to), int(pd.from)); k >= 0 {
+				rc.setPort(int(pd.to), k, pd.letter)
+			} else {
+				res.Severed++ // edge removed before the due round
+			}
+		}
+		s.pend = keep
+	}
+	for _, v := range e.emitters[0] {
+		l := e.emits[v]
+		for k := csr.NbrOff[v]; k < csr.NbrOff[v+1]; k++ {
+			u := int(csr.NbrDat[k])
+			s.chBuf = channel.Expand(e.model, int(v), round, u, l, e.p.nl, s.chBuf, &e.chStats)
+			for _, f := range s.chBuf {
+				delay := int(math.Ceil(f.Extra))
+				if e.horizon != nil {
+					key := uint64(uint32(v))<<32 | uint64(uint32(u))
+					if due := round + delay; due < e.horizon[key] {
+						res.Reordered++ // an overtake on this edge
+					} else {
+						e.horizon[key] = due
+					}
+				}
+				if delay == 0 {
+					rc.setPort(u, csr.NbrOff[u]+csr.RevPort[k], f.Letter)
+				} else {
+					s.pend = append(s.pend, syncPend{due: round + delay, from: v, to: int32(u), letter: f.Letter})
 				}
 			}
 		}

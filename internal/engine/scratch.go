@@ -40,6 +40,12 @@ type Scratch struct {
 	emits    []nfsm.Letter // sync executor's per-round emission buffer
 	emitters []int32       // sync executor's sequential emitter list
 
+	// Channel runs only (the reliable path never touches them): the
+	// fate expansion buffer both executors grow through channel.Expand
+	// or ExpandAt, and the sync executor's channel-delayed deliveries.
+	chBuf []channel.Fate
+	pend  []syncPend
+
 	lastCode *MachineCode
 }
 
@@ -77,10 +83,6 @@ type asyncScratch struct {
 	// v's lengths for steps stepFrom[v]..stepFrom[v]+stepLenBatch-1.
 	stepLens []float64
 	stepFrom []int
-
-	// chBuf is the channel-model fate expansion buffer (channel runs
-	// only; the zero-model fast path never touches it).
-	chBuf []channel.Fate
 
 	// walkCap is the per-node adaptive chain-walk window: opened fully
 	// once a checkpoint is reached undisturbed, reset to the minimum

@@ -33,8 +33,8 @@ type SyncConfig struct {
 	// every node's move is drawn from the node-indexed deterministic
 	// coin, independent of evaluation order. Machines whose transition
 	// is not known to be pure (e.g. the lazily-interning synchro
-	// compilers) always run on one worker. Dynamic runs (Scenario set)
-	// are sequential; Workers is ignored there.
+	// compilers) always run on one worker, and so do scenario and
+	// channel runs (see RunSyncReusing); Workers is ignored there.
 	Workers int
 	// Scenario, when non-nil and non-empty, makes the run dynamic: the
 	// engine applies each mutation batch after round int(Batch.At)
@@ -42,15 +42,16 @@ type SyncConfig struct {
 	// re-binds, resets perturbed nodes per the scenario's reset policy
 	// (which must be concrete — the protocol layer resolves ResetAuto),
 	// and reports recovery metrics. Nil or empty scenarios take the
-	// unchanged static path.
+	// unchanged static path; a non-empty one adds its hooks to the
+	// same round loop.
 	Scenario *scenario.Scenario
 	// Channel, when non-nil, subjects every transmission to an
 	// unreliable-link model, realized as a per-round port filter: each
 	// per-neighbor copy is expanded through the model into zero or more
 	// delivered fates (dropped, duplicated, corrupted, or — for a
 	// reordering model — delayed by whole rounds; see package channel).
-	// Channel runs are sequential like dynamic runs; a nil Channel is
-	// the unchanged path.
+	// Channel runs are sequential like scenario runs and share their
+	// round loop; a nil Channel is the unchanged path.
 	Channel channel.Model
 	// Backend selects the synchronous executor. Empty means automatic:
 	// the bit-plane packed backend (see packed.go) when the machine is

@@ -144,8 +144,8 @@ type Scenario struct {
 	// Byzantine lists faulty nodes and their wire behaviors: such a node
 	// never executes its machine, emits its behavior's letter at every
 	// step, and is excluded from output detection and validation (see
-	// channel.ByzNode). Only the dynamic executors host Byzantine nodes,
-	// so a scenario with them is never Empty.
+	// channel.ByzNode). Only scenario runs host Byzantine nodes, so a
+	// scenario with them is never Empty.
 	Byzantine []channel.ByzNode `json:"byzantine,omitempty"`
 }
 
